@@ -91,7 +91,7 @@ def main() -> int:
         print(f"fleet run matches serial byte-for-byte "
               f"({len(fleet.results)} episodes)")
         shard_files = sorted(
-            name for name in os.listdir(workdir) if name.endswith(".jsonl")
+            name for name in sorted(os.listdir(workdir)) if name.endswith(".jsonl")
         )
         print(f"workdir shard files: {', '.join(shard_files)}")
 

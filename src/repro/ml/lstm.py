@@ -7,6 +7,23 @@ place NumPy is worth its overhead in this project.
 
 Shapes: inputs are ``(batch, time, features)``; the head output is
 ``(batch, outputs)``.
+
+Inference (:meth:`LstmNetwork.forward`) is **row-exact**: row ``r`` of a
+``B``-row forward is bit-identical to a forward of ``x[r:r+1]`` alone, so
+the batched ML arm reproduces serial ``predict_one`` bytes at any width.
+
+* **Matmuls, by construction.**  Every product is issued as a stack of
+  ``(1, K) @ (K, N)`` products — the shape a batch-of-one call has — so
+  NumPy hands each row to the same BLAS GEMV call, with the same
+  arguments, that a serial call makes (a ``(B, K)`` GEMM may sum ``k`` in
+  another order).
+* **Elementwise work, by test.**  Gate slices, ``exp``/``tanh`` and the
+  cell updates run once over all rows; NumPy's loops are per-element, and
+  ``tests/test_batch_ml.py`` plus the CI byte-compare pin that.
+
+Training (:meth:`LstmNetwork.loss_and_grads`) keeps its own batched pass,
+which fills the backward cache; its numerics are independent of the
+inference kernel.
 """
 
 from __future__ import annotations
@@ -39,10 +56,37 @@ class LstmLayer:
         """Trainable arrays (shared references)."""
         return [self.w_x, self.w_h, self.b]
 
-    def forward(
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference over a window, row-exact (see the module docstring).
+
+        Args:
+            x: ``(batch, time, input_size)``.
+
+        Returns:
+            hidden states ``(batch, time, hidden_size)``.
+        """
+        batch, steps, _ = x.shape
+        H = self.hidden_size
+        # (batch, time, 1, K) @ (K, 4H): one GEMV per (row, step).
+        x_proj = x[:, :, None, :] @ self.w_x
+        h = np.zeros((batch, 1, H))
+        c = np.zeros((batch, 1, H))
+        hs = np.empty((batch, steps, H))
+        for t in range(steps):
+            z = x_proj[:, t] + h @ self.w_h + self.b
+            i = _sigmoid(z[..., :H])
+            f = _sigmoid(z[..., H : 2 * H])
+            g = np.tanh(z[..., 2 * H : 3 * H])
+            o = _sigmoid(z[..., 3 * H :])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            hs[:, t] = h[:, 0]
+        return hs
+
+    def forward_train(
         self, x: np.ndarray
     ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
-        """Run the layer over a window.
+        """Batched training pass over a window, filling the backward cache.
 
         Args:
             x: ``(batch, time, input_size)``.
@@ -181,28 +225,33 @@ class LstmNetwork:
         out.extend([self.w_out, self.b_out])
         return out
 
-    def forward(
-        self, x: np.ndarray, keep_cache: bool = False
-    ) -> np.ndarray | Tuple[np.ndarray, list]:
-        """Predict from a window batch ``(batch, time, input_size)``."""
+    def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(f"bad input shape {x.shape}")
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Predict from a window batch ``(batch, time, input_size)``.
+
+        Row-exact: ``forward(x)[r]`` equals ``forward(x[r:r+1])[0]`` bit
+        for bit (see the module docstring).
+        """
+        self._check_input(x)
         h = x
-        caches = []
         for layer in self.layers:
-            h, cache = layer.forward(h)
-            caches.append(cache)
-        y = h[:, -1] @ self.w_out + self.b_out
-        if keep_cache:
-            return y, caches + [h]
-        return y
+            h = layer.forward(h)
+        return (h[:, -1, None, :] @ self.w_out + self.b_out)[:, 0]
 
     def loss_and_grads(
         self, x: np.ndarray, targets: np.ndarray
     ) -> Tuple[float, List[np.ndarray]]:
         """MSE loss and gradients for one batch."""
-        y, state = self.forward(x, keep_cache=True)
-        caches, last_h = state[:-1], state[-1]
+        self._check_input(x)
+        last_h = x
+        caches = []
+        for layer in self.layers:
+            last_h, cache = layer.forward_train(last_h)
+            caches.append(cache)
+        y = last_h[:, -1] @ self.w_out + self.b_out
         batch = x.shape[0]
         diff = y - targets
         loss = float(np.mean(diff * diff))

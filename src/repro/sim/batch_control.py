@@ -27,9 +27,11 @@ Bit-exactness contract (the ``tests/test_batch_executor.py`` gate):
 * **The ML arm batches its LSTM forward.**  Lanes carrying a stock
   :class:`~repro.ml.mitigation.MitigationController` run Algorithm 1
   through :class:`repro.sim.batch_ml.BatchMitigation` — one stacked
-  ``LstmNetwork.forward`` per tick with bit-verified row batching — and
-  arbitrate through the same vectorized hierarchy (``"ml"`` authority
-  codes included).
+  ``LstmNetwork.forward`` per network per tick — and arbitrate through
+  the same vectorized hierarchy (``"ml"`` authority codes included).
+  The forward is row-exact: its matmuls run as per-row GEMVs at the
+  serial batch-of-one shape (equal by construction), and its
+  elementwise ``exp``/``tanh`` loops over all rows are pinned by test.
 * **Per-lane-only features stay scalar.**  Lanes with a trace recorder or
   a *non-stock* ML controller are not vectorizable (:attr:`vector_set`
   excludes them; the executor runs their ordinary ``_control_phase``).

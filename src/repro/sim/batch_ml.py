@@ -4,12 +4,11 @@
 :class:`repro.ml.mitigation.MitigationController`: per lockstep tick it
 maintains every ML lane's feature window in one ``(n, WINDOW, features)``
 array, normalises the full-window lanes elementwise, runs the LSTM
-baseline **once per step over all stacked windows** (the forward in
-:mod:`repro.ml.lstm` is already batch-shaped — only the per-episode
-controller drove it batch=1) and vectorizes the CUSUM/threshold
-bookkeeping lane-wide.  At :meth:`retire` the lane's window/CUSUM state is
-written through to the scalar controller object, so post-episode
-inspection sees exactly what the serial path would have left behind.
+baseline **once per network group over all stacked windows** and
+vectorizes the CUSUM/threshold bookkeeping lane-wide.  At :meth:`retire`
+the lane's window/CUSUM state is written through to the scalar controller
+object, so post-episode inspection sees exactly what the serial path
+would have left behind.
 
 Bit-exactness contract (same gate as :mod:`repro.sim.batch_control`):
 
@@ -18,15 +17,12 @@ Bit-exactness contract (same gate as :mod:`repro.sim.batch_control`):
   ``S > tau`` / inclusive ``delta <= bias`` threshold branches are all
   IEEE-754 elementwise ops replicated with scalar branch semantics
   (``np.where`` preserving operand order and signed zeros).
-* **Row-batched matmuls are verified, not assumed.**  BLAS may pick a
-  different kernel (and a different k-summation order) for a
-  ``(B, K) @ (K, N)`` product than for the ``(1, K) @ (K, N)`` the scalar
-  path issues, which would break float64 bit-identity.  The first time a
-  given ``(network, batch_size)`` pair is seen, the batched forward is
-  computed *and* compared bitwise against per-lane batch=1 slices (the
-  scalar path's exact arithmetic); the verdict is memoized per pair —
-  kernel selection depends on shapes, not values — and lanes fall back to
-  per-lane slices whenever the batched product disagrees.
+* **The forward is row-exact.**  :meth:`repro.ml.lstm.LstmNetwork.forward`
+  issues every matmul as per-row ``(1, K) @ (K, N)`` GEMVs — the serial
+  batch-of-one call's exact BLAS call — so the matmuls agree by
+  construction; its elementwise ``exp``/``tanh`` loops run once over all
+  rows, which ``tests/test_batch_ml.py`` (widths 1-64, both network
+  sizes) and the CI three-backend sha256 compare pin.
 * **Warm-up mirrors the scalar path.**  Lanes with fewer than ``WINDOW``
   samples return the OP command with recovery False and touch no CUSUM
   state (see ``tests/test_ml.py::TestAlgorithm1EdgeSemantics``).
@@ -43,6 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.ml.dataset import FEATURE_NAMES, WINDOW
+from repro.ml.lstm import LstmNetwork
 from repro.ml.mitigation import MitigationController
 from repro.utils.npmath import np_clamp
 
@@ -104,14 +101,15 @@ class BatchMitigation:
             self._t_mean[lane] = np.asarray(b.target_mean, dtype=np.float64)
             self._t_std[lane] = np.asarray(b.target_std, dtype=np.float64)
 
-        # Forward groups: lanes sharing one network batch one matmul.
-        self._groups: List[Tuple[object, frozenset]] = []
-        by_net: Dict[int, Tuple[object, List[int]]] = {}
+        # Forward groups: lanes sharing one network share one forward.
+        # Each group carries a full-width membership mask.
+        by_net: Dict[int, Tuple[LstmNetwork, np.ndarray]] = {}
         for lane in lanes:
             net = self.platforms[lane].ml_controller.baseline.network
-            by_net.setdefault(id(net), (net, []))[1].append(lane)
-        for net, members in by_net.values():
-            self._groups.append((net, frozenset(members)))
+            if id(net) not in by_net:
+                by_net[id(net)] = (net, np.zeros(n, dtype=bool))
+            by_net[id(net)][1][lane] = True
+        self._groups: List[Tuple[LstmNetwork, np.ndarray]] = list(by_net.values())
 
         # Mutable Algorithm 1 state (the reset state; see class docstring).
         # The window is a slide-left ring: row WINDOW-1 is the newest
@@ -122,14 +120,6 @@ class BatchMitigation:
         self._s = np.zeros(n)
         self._recovery = np.zeros(n, dtype=bool)
         self._activations = np.zeros(n, dtype=np.int64)
-
-        #: (network id, batch size) -> batched forward proven bit-identical
-        #: to per-lane batch=1 slices.
-        self._batched_ok: Dict[Tuple[int, int], bool] = {}
-        #: Networks whose batched forward has disagreed at some size:
-        #: kernel-dispatch mismatches are systematic, so stop paying the
-        #: probe cost for new sizes (already-proven sizes stay batched).
-        self._net_failed: set = set()
 
     # ------------------------------------------------------------------ #
     # One vectorized Algorithm 1 tick
@@ -171,17 +161,15 @@ class BatchMitigation:
         flanes = idx[fpos]
 
         # predict(): normalise -> forward -> denormalise (all elementwise
-        # except the forward, which _forward_rows bit-verifies).
+        # except the forward, which is row-exact).
         x = (buf[flanes] - self._f_mean[flanes][:, None, :]) / self._f_std[
             flanes
         ][:, None, :]
         y = np.empty((len(flanes), 2))
-        for net, members in self._groups:
-            rows = np.nonzero(
-                [lane in members for lane in flanes.tolist()]
-            )[0]
+        for net, member in self._groups:
+            rows = np.nonzero(member[flanes])[0]
             if rows.size:
-                y[rows] = self._forward_rows(net, x[rows])
+                y[rows] = net.forward(x[rows])
         y = y * self._t_std[flanes] + self._t_mean[flanes]
 
         accel_ml = np_clamp(y[:, 0], self._min_accel[flanes], self._max_accel[flanes])
@@ -208,35 +196,6 @@ class BatchMitigation:
         ml_steer[fpos] = steer_ml
         recovery[fpos] = self._recovery[flanes]
         return recovery, ml_accel, ml_steer
-
-    def _forward_rows(self, network, x: np.ndarray) -> np.ndarray:
-        """``network.forward`` rows, bit-identical to per-lane batch=1.
-
-        Verifies the row-batched forward against per-lane slices on first
-        use of each ``(network, batch_size)`` pair (kernel selection is
-        shape-dependent, not value-dependent) and memoizes the verdict;
-        a batch of one *is* the scalar call.
-        """
-        m = x.shape[0]
-        if m == 1:
-            return network.forward(x)
-        cache_key = (id(network), m)
-        batched_ok = self._batched_ok.get(cache_key)
-        if batched_ok is None and id(network) not in self._net_failed:
-            batched = np.asarray(network.forward(x))
-            per_lane = np.concatenate(
-                [network.forward(x[i : i + 1]) for i in range(m)], axis=0
-            )
-            batched_ok = batched.tobytes() == per_lane.tobytes()
-            self._batched_ok[cache_key] = batched_ok
-            if not batched_ok:
-                self._net_failed.add(id(network))
-            return batched if batched_ok else per_lane
-        if batched_ok:
-            return network.forward(x)
-        return np.concatenate(
-            [network.forward(x[i : i + 1]) for i in range(m)], axis=0
-        )
 
     # ------------------------------------------------------------------ #
     # Retirement write-through

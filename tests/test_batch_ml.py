@@ -9,6 +9,8 @@ including warm-up, activation, exit and the sliding window.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.adas.controlsd import AdasCommand
 from repro.ml.dataset import WINDOW
@@ -140,54 +142,46 @@ class TestBatchMitigationInternals:
         with pytest.raises(ValueError, match="stock MitigationController"):
             BatchMitigation([platform], [0])
 
-    def test_forward_verification_memoizes_per_batch_size(self):
-        batch, _ = self.make(n=3)
-        net = synthetic_baseline().network
-        x = np.random.default_rng(0).normal(size=(3, WINDOW, 6))
-        batch._forward_rows(net, x)
-        assert (id(net), 3) in batch._batched_ok
-        # Batch of one is the scalar call itself — never probed.
-        batch._forward_rows(net, x[:1])
-        assert (id(net), 1) not in batch._batched_ok
+    def test_forward_runs_once_per_group_per_tick(self, monkeypatch):
+        # One forward per network group per tick, every full-window lane a
+        # row: a silent return to per-lane forwards fails here.
+        calls = []
+        real_forward = LstmNetwork.forward
 
-    def test_forward_rows_match_predict_one_slices(self):
-        # Whatever mode the probe picks, the output must equal per-lane
-        # batch=1 forwards (the scalar predict_one arithmetic).
-        batch, _ = self.make(n=4)
-        net = synthetic_baseline().network
-        x = np.random.default_rng(1).normal(size=(4, WINDOW, 6))
-        rows = batch._forward_rows(net, x)
-        expected = np.concatenate(
-            [net.forward(x[i : i + 1]) for i in range(4)], axis=0
+        def counting_forward(net, x):
+            calls.append((id(net), x.shape[0]))
+            return real_forward(net, x)
+
+        monkeypatch.setattr(LstmNetwork, "forward", counting_forward)
+        shared, other = synthetic_baseline(seed=1), synthetic_baseline(seed=2)
+        baselines = [shared, other, shared, shared, other]
+        platforms = [
+            _FakePlatform(MitigationController(b, MitigationParams()))
+            for b in baselines
+        ]
+        batch = BatchMitigation(platforms, range(len(baselines)))
+        rng = np.random.default_rng(0)
+        for t in range(WINDOW + 3):
+            calls.clear()
+            batch.step(
+                tuple(range(5)),
+                np.array(_feature_stream(rng, 5)),
+                np.zeros(5),
+                np.zeros(5),
+            )
+            if t < WINDOW - 1:
+                assert calls == []  # warm-up: no lane has a full window
+            else:
+                assert sorted(calls) == sorted(
+                    [(id(shared.network), 3), (id(other.network), 2)]
+                )
+        # A lane subset forwards only its own full-window rows.
+        calls.clear()
+        batch.step((0, 1, 3), np.array(_feature_stream(rng, 3)),
+                   np.zeros(3), np.zeros(3))
+        assert sorted(calls) == sorted(
+            [(id(shared.network), 2), (id(other.network), 1)]
         )
-        assert rows.tobytes() == expected.tobytes()
-        # Second call takes the memoized path; result must not change.
-        assert batch._forward_rows(net, x).tobytes() == expected.tobytes()
-
-    def test_failed_probe_stops_probing_new_sizes(self):
-        class _LyingNetwork:
-            """forward() whose batched rows disagree with batch=1 rows."""
-
-            def __init__(self):
-                self.calls = []
-
-            def forward(self, x):
-                self.calls.append(x.shape[0])
-                out = np.full((x.shape[0], 2), float(x.shape[0]))
-                return out
-
-        batch, _ = self.make(n=2)
-        net = _LyingNetwork()
-        x = np.zeros((3, WINDOW, 6))
-        rows = batch._forward_rows(net, x)
-        # Fallback output is built from batch=1 slices.
-        assert np.all(rows == 1.0)
-        assert batch._batched_ok[(id(net), 3)] is False
-        calls_after_probe = len(net.calls)
-        # A new size skips the batched probe entirely (per-lane only).
-        rows = batch._forward_rows(net, np.zeros((2, WINDOW, 6)))
-        assert np.all(rows == 1.0)
-        assert net.calls[calls_after_probe:] == [1, 1]
 
     def test_retire_ignores_non_ml_lane(self):
         baseline = synthetic_baseline()
@@ -197,3 +191,56 @@ class TestBatchMitigationInternals:
         ]
         batch = BatchMitigation(platforms, [0])
         batch.retire(1)  # must not raise
+
+
+_NETWORKS = {
+    hidden: LstmNetwork(input_size=6, hidden_sizes=hidden, output_size=2, seed=4)
+    for hidden in ((8, 6), (128, 64))
+}
+
+
+class TestRowExactForward:
+    """``LstmNetwork.forward`` rows equal serial batch-of-one forwards.
+
+    The matmuls agree by construction (per-row GEMVs at the serial shape);
+    these properties pin the elementwise ``exp``/``tanh`` half, which runs
+    once over all rows.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=64),
+        hidden=st.sampled_from(sorted(_NETWORKS)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(width=1, hidden=(128, 64), seed=0)
+    @example(width=5, hidden=(8, 6), seed=1)
+    @example(width=63, hidden=(128, 64), seed=2)
+    @example(width=64, hidden=(8, 6), seed=3)
+    def test_rows_equal_predict_one_bytes(self, width, hidden, seed):
+        net = _NETWORKS[hidden]
+        x = np.random.default_rng(seed).normal(size=(width, WINDOW, 6))
+        batched = net.forward(x)
+        assert batched.shape == (width, 2)
+        for r in range(width):
+            single = net.forward(x[r : r + 1])
+            assert single.shape == (1, 2)
+            assert batched[r].tobytes() == single[0].tobytes(), r
+            assert net.predict_one(x[r]).tobytes() == single[0].tobytes(), r
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(min_value=1, max_value=64),
+        hidden=st.sampled_from(sorted(_NETWORKS)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(width=1, hidden=(128, 64), seed=0)
+    @example(width=5, hidden=(8, 6), seed=1)
+    @example(width=63, hidden=(128, 64), seed=2)
+    @example(width=64, hidden=(8, 6), seed=3)
+    def test_permuting_rows_permutes_output_bytes(self, width, hidden, seed):
+        net = _NETWORKS[hidden]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(width, WINDOW, 6))
+        order = rng.permutation(width)
+        assert net.forward(x[order]).tobytes() == net.forward(x)[order].tobytes()

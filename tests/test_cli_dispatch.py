@@ -98,7 +98,7 @@ class TestDispatchCommand:
         # the workdir holds one shard JSONL + sidecar per planned shard.
         assert read_digest_sidecar(str(out)) is not None
         shard_files = sorted(
-            n for n in os.listdir(tmp_path / "wd") if n.endswith(".jsonl")
+            n for n in sorted(os.listdir(tmp_path / "wd")) if n.endswith(".jsonl")
         )
         assert len(shard_files) == 2
         assert "wrote 2 episodes" in capsys.readouterr().out

@@ -119,7 +119,7 @@ class TestManifest:
         entries = {"table4": {"inputs": ["ab" * 32], "body": "x"}}
         save_manifest(path, entries)
         assert load_manifest(path) == entries
-        assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
+        assert not [n for n in sorted(os.listdir(tmp_path)) if n.endswith(".tmp")]
 
 
 class TestIncrementalRun:

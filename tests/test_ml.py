@@ -1,5 +1,7 @@
 """Unit tests for the NumPy LSTM, Adam, dataset and Algorithm 1."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from repro.ml.mitigation import (
     MitigationParams,
 )
 from repro.ml.optim import Adam
-from repro.ml.trainer import EXPLORED_CONFIGS, TrainedBaseline
+from repro.ml.trainer import (
+    EXPLORED_CONFIGS,
+    TrainedBaseline,
+    TrainerConfig,
+    train_baseline,
+)
 
 
 def tiny_net(seed=0):
@@ -80,6 +87,51 @@ class TestGradients:
             loss, grads = net.loss_and_grads(x, t)
             optim.step(grads)
         assert loss < 0.5 * first
+
+
+class TestTrainingPin:
+    """Training bytes are pinned: a change to the inference kernel or to the
+    cached training pass must not move trained weights.
+
+    The digests were recorded with NumPy's bundled OpenBLAS on x86-64;
+    a BLAS whose GEMM sums in another order trains different bytes.
+    """
+
+    WEIGHTS_SHA256 = (
+        "2ff497548fe4cb851787598d3ce6e7a4146cda8a7d520108b37118f1c17cc3c4"
+    )
+    FINAL_LOSS_HEX = "0x1.1f8c44674951fp+0"
+    PREDICT_SHA256 = (
+        "cebb355835d6068a2f109e5804a07fabda16c6c43acd6d026b1d5395cfa7e0f4"
+    )
+
+    def test_tiny_baseline_weights_and_loss(self):
+        rng = np.random.default_rng(0)
+        traces = [
+            Trace(
+                features=rng.normal(size=(400, len(FEATURE_NAMES))),
+                targets=rng.normal(size=(400, 2)),
+            )
+        ]
+        config = TrainerConfig(
+            hidden_sizes=(8, 6), epochs=2, batch_size=16, stride=10
+        )
+        baseline = train_baseline(
+            config, dataset=TraceDataset(traces, stride=10)
+        )
+        weights = hashlib.sha256()
+        for param in baseline.network.params():
+            weights.update(param.tobytes())
+        assert weights.hexdigest() == self.WEIGHTS_SHA256
+        assert baseline.final_loss.hex() == self.FINAL_LOSS_HEX
+        # Serial inference on the trained weights is pinned too.
+        windows = np.random.default_rng(1).normal(
+            size=(3, WINDOW, len(FEATURE_NAMES))
+        )
+        predict = hashlib.sha256()
+        for window in windows:
+            predict.update(baseline.network.predict_one(window).tobytes())
+        assert predict.hexdigest() == self.PREDICT_SHA256
 
 
 class TestPersistence:

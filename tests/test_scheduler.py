@@ -247,7 +247,7 @@ class TestInProcessDispatch:
             cache=False,
             max_steps=MAX_STEPS,
         )
-        leftovers = [n for n in os.listdir(tmp_path) if "repro-dispatch" in n]
+        leftovers = [n for n in sorted(os.listdir(tmp_path)) if "repro-dispatch" in n]
         assert leftovers == []
 
     def test_cache_write_through_and_warm_hit(self, tmp_path):
