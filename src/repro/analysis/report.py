@@ -105,7 +105,8 @@ class ReportConfig:
             inside each.  ``None`` defers to ``jobs``.
         lanes: peak lockstep lane count for ``executor="batch"`` (``repro
             report --lanes``); ``None`` defers to the ``REPRO_BATCH_LANES``
-            environment variable, then uncapped.
+            environment variable, then uncapped.  Rejected for the
+            other executors.
         cache_dir: campaign result cache directory (None defers to the
             ``REPRO_CACHE_DIR`` environment variable, then no caching).
             Cached campaigns — including the ML arm, keyed by its trainer

@@ -148,7 +148,14 @@ from repro.core.cache import (
     verify_cache,
     write_digest_sidecar,
 )
-from repro.core.executor import EXECUTOR_NAMES, PhaseProfile, resolve_executor
+from repro.core.executor import (
+    EXECUTOR_NAMES,
+    PhaseProfile,
+    check_executor,
+    default_batch_lanes,
+    default_jobs,
+    resolve_executor,
+)
 from repro.core.experiment import merge_shards, run_campaign
 from repro.core.scheduler import (
     SchedulerError,
@@ -227,8 +234,9 @@ def _add_executor_flag(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="peak lockstep lane count for '--executor batch' "
-        "(default: REPRO_BATCH_LANES env var, then uncapped)",
+        help="peak lockstep lane count; only with '--executor batch' "
+        "(rejected otherwise; default: REPRO_BATCH_LANES env var, then "
+        "uncapped).  Under --resume it also bounds the work a crash loses",
     )
 
 
@@ -795,8 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print a per-phase wall-clock breakdown (control / dynamics / "
-        "post-step tail) after the run; serial and batch executors only "
-        "(parallel steps episodes in worker processes)",
+        "post-step tail) after the run; in-process runs only (refused "
+        "with --jobs > 1, which steps episodes in worker processes)",
     )
     _add_cache_flag(camp)
     _add_backend_flags(camp)
@@ -969,28 +977,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    # Campaign commands fall back to REPRO_JOBS when --jobs is omitted;
-    # surface a malformed env var as a clean CLI error, not a traceback.
-    # (Commands without a --jobs flag never read the env var.)
-    if "jobs" in vars(args) and args.jobs is None:
-        from repro.core.executor import default_jobs
-
-        try:
-            default_jobs()
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
-
-    # Same surfacing for REPRO_BATCH_LANES when --lanes is omitted on a
-    # command that could route through the batch executor.
-    if "lanes" in vars(args) and args.lanes is None:
-        from repro.core.executor import default_batch_lanes
-
-        try:
-            default_batch_lanes()
-        except ValueError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            return 2
+    # Campaign commands fall back to REPRO_JOBS / REPRO_BATCH_LANES when
+    # --jobs / --lanes is omitted; surface a malformed env var, or a
+    # --lanes that no batch executor will use, as a clean CLI error before
+    # any episode runs.  (Commands without the flag never read the env var.)
+    try:
+        for flag, env_default in (
+            ("jobs", default_jobs),
+            ("lanes", default_batch_lanes),
+        ):
+            if flag in vars(args) and getattr(args, flag) is None:
+                env_default()
+        if "lanes" in vars(args):
+            check_executor(args.executor, args.lanes)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
     # Umbrella for configuration errors every command can hit (a malformed
     # REPRO_CACHE_DIR consulted deep inside run_campaign, an unwritable
@@ -1152,21 +1154,15 @@ def _run(args) -> int:
             f"running {len(episodes)} episodes under {cfg.label()}{shard_note} ...",
             file=sys.stderr,
         )
-        profile = None
-        executor = args.executor
-        if getattr(args, "profile", False):
-            # Resolve to a concrete in-process backend now so a parallel
-            # selection fails before any episode runs.
-            profile = PhaseProfile()
-            executor = resolve_executor(
-                args.executor, jobs=args.jobs, lanes=args.lanes, profile=profile
-            )
+        profile = PhaseProfile() if args.profile else None
         campaign = run_campaign(
             episodes,
             cfg,
-            jobs=args.jobs,
-            executor=executor,
-            lanes=args.lanes,
+            # Resolved here so a refused --profile combination fails
+            # before any episode runs.
+            executor=resolve_executor(
+                args.executor, jobs=args.jobs, lanes=args.lanes, profile=profile
+            ),
             cache=cache,
             resume_path=output if args.resume else None,
             progress=progress if episodes else None,

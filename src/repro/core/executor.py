@@ -4,32 +4,33 @@ Campaign episodes are embarrassingly parallel *by construction*: every
 episode seed is derived order-independently from the campaign seed (see
 :func:`repro.attacks.campaign.enumerate_campaign`) and a
 :class:`~repro.core.platform.SimulationPlatform` owns all of its state, so
-episodes share nothing at run time.  This module exploits that with two
-interchangeable backends behind one abstraction:
+episodes share nothing at run time.  Three backends implement one
+abstraction, :class:`CampaignExecutor`, and every one returns results
+**bit-identical** to the serial reference for the same task list:
 
 * :class:`SerialExecutor` — runs episodes in-process, in order.  Zero
   overhead; the reference backend.
-* :class:`ParallelExecutor` — fans episode *chunks* out to a
-  ``concurrent.futures.ProcessPoolExecutor`` and reassembles results in
-  submission order, so the returned list is **bit-identical** to the
-  serial backend's for the same episode list.
-* :class:`BatchExecutor` — steps all episodes in lockstep through the
-  vectorized batch engine in one process; bit-identical results.
-* :class:`BatchParallelExecutor` — the batch × jobs hybrid
-  (``--executor batch --jobs N``): contiguous lane shards across worker
-  processes, the batch engine inside each, ordered reassembly; composes
-  the vectorization speedup with multi-core scaling, still bit-identical.
+* :class:`BatchExecutor` — steps episodes in lockstep through the
+  vectorized batch engine, in one process.
+* :class:`ParallelExecutor` — fans contiguous task chunks out to a
+  ``concurrent.futures.ProcessPoolExecutor``, runs an *inner* in-process
+  executor on each chunk in a worker and reassembles the results in
+  submission order.  The inner executor is serial by default
+  (``--executor parallel``) or batch (``--executor batch --jobs N``,
+  the batch × jobs hybrid).
 
-Both backends report progress through a thread-safe ``(done, total)``
-callback (see :class:`ProgressTracker`), counted per *episode* even when
-dispatch happens per chunk.
+:func:`resolve_executor` maps an executor name, a worker count and a lane
+cap onto one of these, and :func:`check_executor` is the one validator of
+those choices.  Every backend reports progress through a thread-safe
+``(done, total)`` callback (see :class:`ProgressTracker`), counted per
+*episode* even when dispatch happens per chunk.
 
 Episode payloads cross process boundaries, which is why
 :class:`~repro.core.metrics.EpisodeResult` is fully picklable and carries
 ``to_dict``/``from_dict`` serialization.  When a payload is *not*
 picklable (e.g. a lambda ``ml_factory``), :class:`ParallelExecutor`
-degrades to in-process execution with a ``RuntimeWarning`` rather than
-failing mid-campaign — use the picklable
+degrades to running its inner executor in-process with a
+``RuntimeWarning`` rather than failing mid-campaign — use the picklable
 :class:`repro.ml.mitigation.MitigationFactory` (which carries the trained
 weights) instead of a lambda so ML campaigns dispatch like the rest.
 
@@ -53,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.campaign import EpisodeSpec
 from repro.core.metrics import EpisodeResult
+from repro.core.platform import PhaseProfile, SimulationPlatform
 from repro.safety.arbitration import InterventionConfig
 
 ProgressCallback = Callable[[int, int], None]
@@ -93,105 +95,22 @@ class EpisodeTask:
             platform_kwargs=tuple(sorted(platform_kwargs.items())),
         )
 
-
-@dataclass
-class PhaseProfile:
-    """Accumulated wall-clock per simulation pipeline phase.
-
-    The three phases partition one step of the platform loop: ``control``
-    (perception → arbitration → actuation), ``dynamics`` (the physics
-    integrate), and ``post`` (the post-step tail: metric accumulation,
-    hazard detection, episode retirement).  ``steps`` counts lane-steps,
-    so ``total_s / steps`` is the mean wall-clock per episode-step under
-    either executor.  Profiling only reads the clock around existing
-    calls — it never changes the call sequence, so profiled runs stay
-    bit-identical to unprofiled ones.
-    """
-
-    control_s: float = 0.0
-    dynamics_s: float = 0.0
-    post_s: float = 0.0
-    steps: int = 0
-
-    @property
-    def total_s(self) -> float:
-        """Wall-clock across all three phases [s]."""
-        return self.control_s + self.dynamics_s + self.post_s
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-safe record (bench JSON / CLI reporting)."""
-        return {
-            "control_s": self.control_s,
-            "dynamics_s": self.dynamics_s,
-            "post_s": self.post_s,
-            "steps": self.steps,
-        }
+    def build_platform(self) -> SimulationPlatform:
+        """A fresh platform (and ML controller) for this episode."""
+        controller = self.ml_factory() if self.ml_factory is not None else None
+        return SimulationPlatform(
+            self.spec,
+            self.interventions,
+            ml_controller=controller,
+            **dict(self.platform_kwargs),
+        )
 
 
-def execute_task(task: EpisodeTask) -> EpisodeResult:
-    """Run one :class:`EpisodeTask` to completion (the worker entry point).
-
-    Module-level (not a closure or method) so it is picklable by
-    ``ProcessPoolExecutor``; imports the platform lazily to keep worker
-    start-up cheap under spawn-based start methods.
-    """
-    from repro.core.platform import SimulationPlatform
-
-    controller = task.ml_factory() if task.ml_factory is not None else None
-    platform = SimulationPlatform(
-        task.spec,
-        task.interventions,
-        ml_controller=controller,
-        **dict(task.platform_kwargs),
-    )
-    return platform.run()
-
-
-def execute_task_profiled(task: EpisodeTask, profile: PhaseProfile) -> EpisodeResult:
-    """:func:`execute_task` with per-phase wall-clock accumulation.
-
-    Replays ``SimulationPlatform.run`` phase by phase with a counter read
-    between phases; the call sequence (and therefore the result) is
-    identical to the unprofiled path.
-    """
-    from repro.core.platform import SimulationPlatform
-
-    controller = task.ml_factory() if task.ml_factory is not None else None
-    platform = SimulationPlatform(
-        task.spec,
-        task.interventions,
-        ml_controller=controller,
-        **dict(task.platform_kwargs),
-    )
-    result = platform._begin_episode()
-    for step_index in range(platform.max_steps):
-        t0 = perf_counter()
-        platform._control_phase(step_index, result)
-        t1 = perf_counter()
-        platform.world.step(platform.dt)
-        t2 = perf_counter()
-        finished = platform._after_dynamics(step_index, result)
-        t3 = perf_counter()
-        profile.control_s += t1 - t0
-        profile.dynamics_s += t2 - t1
-        profile.post_s += t3 - t2
-        profile.steps += 1
-        if finished:
-            break
-    platform._finish_episode(result)
-    return result
-
-
-def _execute_chunk(tasks: Sequence[EpisodeTask]) -> List[EpisodeResult]:
-    """Worker-side: run one chunk of tasks in order."""
-    return [execute_task(task) for task in tasks]
-
-
-def _execute_batch_chunk(
-    tasks: Sequence[EpisodeTask], lanes: Optional[int]
+def _run_chunk(
+    inner: "CampaignExecutor", tasks: Sequence[EpisodeTask]
 ) -> List[EpisodeResult]:
-    """Worker-side: run one chunk of tasks through the batch engine."""
-    return BatchExecutor(lanes=lanes).run(tasks)
+    """Worker-side: run one chunk of tasks through the inner executor."""
+    return inner.run(tasks)
 
 
 class ProgressTracker:
@@ -238,6 +157,12 @@ class CampaignExecutor(abc.ABC):
     regardless of scheduling.
     """
 
+    #: Worker processes the executor runs episodes in.
+    jobs: int = 1
+    #: Per-phase step timing accumulates here when set.  Class-level so
+    #: subclasses with bare ``__init__`` overrides stay unprofiled.
+    profile: Optional[PhaseProfile] = None
+
     @abc.abstractmethod
     def run(
         self,
@@ -245,6 +170,23 @@ class CampaignExecutor(abc.ABC):
         progress: Optional[ProgressCallback] = None,
     ) -> List[EpisodeResult]:
         """Execute every task and return results in task order."""
+
+    def pool_chunk(self, total: int, jobs: int) -> int:
+        """Tasks per chunk when ``jobs`` pool workers each run this executor.
+
+        ~4 chunks per worker balance load across the pool; chunks above
+        16 tasks starve the pool tail even on very large campaigns.
+        """
+        return min(16, max(1, total // (4 * jobs)))
+
+    def stream_slice(self, remaining: int, jobs: int) -> int:
+        """Tasks per slice when a resumed run streams results to disk.
+
+        A few dispatch rounds across ``jobs`` workers, so streaming costs
+        little parallel efficiency (see
+        :func:`repro.core.scheduler.execute_shard`).
+        """
+        return max(8, 4 * jobs)
 
 
 class SerialExecutor(CampaignExecutor):
@@ -255,10 +197,6 @@ class SerialExecutor(CampaignExecutor):
             step timing into (``repro campaign --profile``); results are
             unaffected.
     """
-
-    #: Class-level default so subclasses with bare ``__init__``
-    #: overrides (test doubles predating profiling) stay unprofiled.
-    profile: Optional[PhaseProfile] = None
 
     def __init__(self, profile: Optional[PhaseProfile] = None) -> None:
         self.profile = profile
@@ -271,10 +209,7 @@ class SerialExecutor(CampaignExecutor):
         tracker = ProgressTracker(len(tasks), progress)
         results: List[EpisodeResult] = []
         for task in tasks:
-            if self.profile is not None:
-                results.append(execute_task_profiled(task, self.profile))
-            else:
-                results.append(execute_task(task))
+            results.append(task.build_platform().run(self.profile))
             tracker.advance()
         return results
 
@@ -282,34 +217,50 @@ class SerialExecutor(CampaignExecutor):
 class ParallelExecutor(CampaignExecutor):
     """Process-pool execution with chunked dispatch and ordered reassembly.
 
+    Tasks are cut into contiguous chunks, each worker process runs the
+    ``inner`` executor on its chunk, and results are reassembled in
+    submission order.  Episodes are independent and every inner executor
+    is bit-identical to serial on *any* task subset, so ``run`` is
+    bit-identical to :class:`SerialExecutor` regardless of worker count or
+    chunk boundaries.
+
     Args:
         jobs: worker process count (>= 1).  ``jobs=1`` short-circuits to
-            in-process execution — no pool overhead, identical results.
-        chunk_size: episodes per dispatched chunk.  ``None`` picks a size
-            that yields ~4 chunks per worker, balancing dispatch overhead
-            against load-balancing granularity.
-
-    Results are reassembled in submission order, so ``run`` is
-    bit-identical to :class:`SerialExecutor` on the same task list.
+            ``inner`` in-process — no pool overhead, identical results.
+        chunk_size: tasks per dispatched chunk.  ``None`` lets ``inner``
+            choose (:meth:`CampaignExecutor.pool_chunk`): many small
+            chunks for the scalar engine, one wide chunk per worker for
+            the batch engine, whose lockstep amortises better the more
+            lanes it steps together.
+        inner: the in-process executor every worker runs (default
+            :class:`SerialExecutor`; :class:`BatchExecutor` makes the
+            batch × jobs hybrid).  It must not carry a profile when
+            ``jobs > 1``: worker processes cannot time into it.
     """
 
-    #: Upper bound on the auto-chosen chunk size: chunks larger than this
-    #: starve the pool tail even on very large campaigns.
-    MAX_AUTO_CHUNK = 16
-
-    def __init__(self, jobs: int, chunk_size: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        jobs: int,
+        chunk_size: Optional[int] = None,
+        inner: Optional[CampaignExecutor] = None,
+    ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        inner = SerialExecutor() if inner is None else inner
+        if jobs > 1 and inner.profile is not None:
+            raise ValueError(
+                "--profile times the step loop in one process, but --jobs > 1 "
+                "runs episodes in the parallel executor's worker processes — "
+                "drop --profile or run with --jobs 1"
+            )
         self.jobs = jobs
         self.chunk_size = chunk_size
+        self.inner = inner
 
-    def _auto_chunk_size(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        per_worker = max(1, total // (self.jobs * 4))
-        return min(per_worker, self.MAX_AUTO_CHUNK)
+    def stream_slice(self, remaining: int, jobs: int) -> int:
+        return self.inner.stream_slice(remaining, jobs)
 
     @staticmethod
     def _dispatchable(tasks: Sequence[EpisodeTask]) -> bool:
@@ -338,12 +289,10 @@ class ParallelExecutor(CampaignExecutor):
         tasks: Sequence[EpisodeTask],
         progress: Optional[ProgressCallback] = None,
     ) -> List[EpisodeResult]:
-        if not tasks:
-            return []
-        if self.jobs == 1 or len(tasks) == 1:
+        if self.jobs == 1 or len(tasks) <= 1:
             # One worker or one task: a pool adds spawn + pickling overhead
             # with zero parallelism to gain.
-            return SerialExecutor().run(tasks, progress)
+            return self.inner.run(tasks, progress)
         if not self._dispatchable(tasks):
             warnings.warn(
                 "campaign payload is not picklable (e.g. a lambda ml_factory); "
@@ -353,15 +302,15 @@ class ParallelExecutor(CampaignExecutor):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return SerialExecutor().run(tasks, progress)
+            return self.inner.run(tasks, progress)
 
         tracker = ProgressTracker(len(tasks), progress)
-        size = self._auto_chunk_size(len(tasks))
+        size = self.chunk_size or self.inner.pool_chunk(len(tasks), self.jobs)
         chunks = [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
         ordered: Dict[int, List[EpisodeResult]] = {}
         with _ProcessPool(max_workers=min(self.jobs, len(chunks))) as pool:
             futures = {
-                pool.submit(_execute_chunk, chunk): index
+                pool.submit(_run_chunk, self.inner, chunk): index
                 for index, chunk in enumerate(chunks)
             }
             for future in as_completed(futures):
@@ -410,7 +359,15 @@ class BatchExecutor(CampaignExecutor):
             raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.lanes = lanes
         self.profile = profile
-        self.jobs = 1
+
+    def pool_chunk(self, total: int, jobs: int) -> int:
+        # One wide chunk per worker: a campaign's episodes are near-uniform
+        # in cost, and the lockstep amortises better the wider it runs.
+        return -(-total // jobs)
+
+    def stream_slice(self, remaining: int, jobs: int) -> int:
+        # Whole locksteps: streaming must not narrow the lockstep width.
+        return self.lanes * jobs if self.lanes else max(1, remaining)
 
     def run(
         self,
@@ -439,24 +396,12 @@ class BatchExecutor(CampaignExecutor):
         tracker: ProgressTracker,
     ) -> None:
         """Run one same-``dt`` group of episodes in lockstep."""
-        from repro.core.platform import SimulationPlatform
+        from repro.safety.aebs import AebsConfig
         from repro.sim.batch_control import BatchControlStack
         from repro.sim.batch_hazards import BatchHazardMonitor
         from repro.sim.batch_state import BatchDynamics
 
-        platforms = []
-        for index in indices:
-            task = tasks[index]
-            controller = task.ml_factory() if task.ml_factory is not None else None
-            platforms.append(
-                SimulationPlatform(
-                    task.spec,
-                    task.interventions,
-                    ml_controller=controller,
-                    **dict(task.platform_kwargs),
-                )
-            )
-        from repro.safety.aebs import AebsConfig
+        platforms = [tasks[index].build_platform() for index in indices]
 
         dynamics = BatchDynamics(
             [platform.world for platform in platforms],
@@ -476,6 +421,7 @@ class BatchExecutor(CampaignExecutor):
             [platform.hazards for platform in platforms], dynamics
         )
         profile = self.profile
+        clock = perf_counter if profile is not None else float
         dt = platforms[0].dt
         episodes = [platform._begin_episode() for platform in platforms]
         steps = [0] * len(platforms)
@@ -484,20 +430,16 @@ class BatchExecutor(CampaignExecutor):
         # step-0 world-query caches must be primed from the initial state.
         dynamics.prime(active)
         while active:
-            t0 = perf_counter() if profile is not None else 0.0
+            t0 = clock()
             vector_lanes = [lane for lane in active if lane in stack.vector_set]
             stack.step_control(vector_lanes)
             for lane in active:
                 if lane not in stack.vector_set:
                     platforms[lane]._control_phase(steps[lane], episodes[lane])
-            if profile is not None:
-                t1 = perf_counter()
-                profile.control_s += t1 - t0
+            t1 = clock()
             dynamics.step(active, dt)
-            if profile is not None:
-                t2 = perf_counter()
-                profile.dynamics_s += t2 - t1
-                profile.steps += len(active)
+            t2 = clock()
+            width = len(active)
             stack.accumulate(vector_lanes)
             # Masked hazard screen: only lanes where the scalar monitor
             # could mark or latch something this step run it; the mask is
@@ -533,94 +475,7 @@ class BatchExecutor(CampaignExecutor):
                     remaining.append(lane)
             active = remaining
             if profile is not None:
-                profile.post_s += perf_counter() - t2
-
-
-class BatchParallelExecutor(CampaignExecutor):
-    """Batch × jobs hybrid: lane shards across workers, batch inside each.
-
-    Composes the two previously mutually-exclusive speedups: tasks are
-    split into ``jobs`` contiguous chunks, each worker process runs the
-    vectorized :class:`BatchExecutor` on its chunk, and results are
-    reassembled in submission order.  Episodes are independent and the
-    batch engine is bit-identical to serial on *any* task subset, so the
-    chunking rule — contiguous chunks, ordered reassembly — keeps the
-    returned list byte-identical to :class:`SerialExecutor` regardless of
-    worker count or chunk boundaries.
-
-    Unlike :class:`ParallelExecutor` (many small chunks for load
-    balancing), chunks here default to one *wide* chunk per worker: the
-    batch engine's per-step array dispatch amortises better the more
-    lanes it steps together, and a campaign's episodes are near-uniform
-    in cost.
-
-    Args:
-        jobs: worker process count (>= 1).  ``jobs=1`` short-circuits to
-            an in-process :class:`BatchExecutor` — no pool overhead,
-            identical results.
-        lanes: per-worker lockstep lane cap, forwarded to each worker's
-            :class:`BatchExecutor` (``None`` = uncapped).
-        chunk_size: episodes per dispatched chunk (``None`` = one chunk
-            per worker).  Exposed for tests and tail-latency tuning;
-            results do not depend on it.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        lanes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.jobs = jobs
-        self.lanes = lanes
-        self.chunk_size = chunk_size
-
-    def run(
-        self,
-        tasks: Sequence[EpisodeTask],
-        progress: Optional[ProgressCallback] = None,
-    ) -> List[EpisodeResult]:
-        if not tasks:
-            return []
-        if self.jobs == 1 or len(tasks) == 1:
-            return BatchExecutor(lanes=self.lanes).run(tasks, progress)
-        if not ParallelExecutor._dispatchable(tasks):
-            warnings.warn(
-                "campaign payload is not picklable (e.g. a lambda ml_factory); "
-                "falling back to in-process batch execution — use a "
-                "module-level factory such as repro.ml.MitigationFactory to "
-                "enable parallel dispatch",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return BatchExecutor(lanes=self.lanes).run(tasks, progress)
-
-        tracker = ProgressTracker(len(tasks), progress)
-        size = self.chunk_size
-        if size is None:
-            size = -(-len(tasks) // self.jobs)  # ceil: one chunk per worker
-        chunks = [list(tasks[i : i + size]) for i in range(0, len(tasks), size)]
-        ordered: Dict[int, List[EpisodeResult]] = {}
-        with _ProcessPool(max_workers=min(self.jobs, len(chunks))) as pool:
-            futures = {
-                pool.submit(_execute_batch_chunk, chunk, self.lanes): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                chunk_results = future.result()
-                ordered[index] = chunk_results
-                tracker.advance(len(chunk_results))
-        results: List[EpisodeResult] = []
-        for index in range(len(chunks)):
-            results.extend(ordered[index])
-        return results
+                profile.record(t0, t1, t2, perf_counter(), width)
 
 
 def available_cores() -> int:
@@ -635,80 +490,89 @@ def available_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _env_positive_int(name: str, meaning: str) -> Optional[int]:
+    """The positive integer in environment variable ``name`` (None if unset).
+
+    Raises:
+        ValueError: naming the variable, on a malformed or non-positive
+            value.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(
+            f"{name} must be a positive integer ({meaning}), got {raw!r}"
+        )
+    return value
+
+
 def default_jobs() -> int:
     """Worker-count default: the ``REPRO_JOBS`` environment variable, or 1.
 
     Raises:
         ValueError: on a malformed or non-positive ``REPRO_JOBS``.
     """
-    raw = os.environ.get("REPRO_JOBS")
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer (worker process count), "
-            f"got {raw!r}"
-        ) from None
-    if jobs < 1:
-        raise ValueError(
-            f"REPRO_JOBS must be a positive integer (worker process count), "
-            f"got {jobs}"
-        )
-    return jobs
+    return _env_positive_int("REPRO_JOBS", "worker process count") or 1
 
 
 def default_batch_lanes() -> Optional[int]:
     """Batch-lane default: the ``REPRO_BATCH_LANES`` environment variable.
 
-    ``None`` (unset) means "one batch per ``dt`` group" — no cap.
+    ``None`` (unset) means "one batch per ``dt`` group" — no cap.  The
+    variable is a default for the batch executor only; the other
+    executors never read it.
 
     Raises:
         ValueError: on a malformed or non-positive ``REPRO_BATCH_LANES``.
     """
-    raw = os.environ.get("REPRO_BATCH_LANES")
-    if raw is None:
-        return None
-    try:
-        lanes = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BATCH_LANES must be a positive integer (lockstep lane "
-            f"cap), got {raw!r}"
-        ) from None
-    if lanes < 1:
-        raise ValueError(
-            f"REPRO_BATCH_LANES must be a positive integer (lockstep lane "
-            f"cap), got {lanes}"
-        )
-    return lanes
-
-
-def make_executor(jobs: Optional[int] = None) -> CampaignExecutor:
-    """Build the executor for a requested worker count.
-
-    Args:
-        jobs: worker processes; ``None`` defers to :func:`default_jobs`
-            (the ``REPRO_JOBS`` environment variable, then 1).
-
-    Returns:
-        :class:`SerialExecutor` for one worker, else a
-        :class:`ParallelExecutor`.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor()
-    return ParallelExecutor(jobs=jobs)
+    return _env_positive_int("REPRO_BATCH_LANES", "lockstep lane cap")
 
 
 #: Executor names accepted wherever an executor can be chosen by string
 #: (``run_campaign(..., executor="batch")``, ``--executor`` on the CLI,
 #: fleet worker command lines).
 EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "parallel", "batch")
+
+
+def check_executor(
+    executor: "str | CampaignExecutor | None", lanes: Optional[int] = None
+) -> None:
+    """Validate an executor choice and lane cap before anything runs.
+
+    The one validator behind :func:`resolve_executor`, the worker
+    backends (at construction) and the CLI.
+
+    Args:
+        executor: a :data:`EXECUTOR_NAMES` name, a ready
+            :class:`CampaignExecutor` instance, or ``None``.
+        lanes: an explicit lockstep lane cap, or ``None``.
+
+    Raises:
+        ValueError: on an unknown executor name, a non-positive ``lanes``,
+            or an explicit ``lanes`` for anything but the ``"batch"`` name
+            — no other executor steps lanes in lockstep, so the cap would
+            be silently ignored.
+    """
+    if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of "
+            f"{', '.join(EXECUTOR_NAMES)}"
+        )
+    if lanes is None:
+        return
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    if executor != "batch":
+        chosen = "no --executor" if executor is None else f"executor {executor!r}"
+        raise ValueError(
+            f"--lanes caps the lockstep width of --executor batch; {chosen} "
+            "never uses it — drop --lanes or pass --executor batch"
+        )
 
 
 def resolve_executor(
@@ -722,58 +586,41 @@ def resolve_executor(
     Args:
         executor: a :data:`EXECUTOR_NAMES` name, a ready
             :class:`CampaignExecutor` instance (returned unchanged), or
-            ``None`` to defer to :func:`make_executor`.
+            ``None`` for serial with one worker and ``"parallel"`` with
+            more.
         jobs: worker count for the ``None``/``"parallel"``/``"batch"``
             cases; ``None`` defers to :func:`default_jobs` (the
-            ``REPRO_JOBS`` environment variable, then 1).
-            ``executor="batch"`` with more than one worker resolves to
-            the :class:`BatchParallelExecutor` hybrid (lane shards across
-            workers, batch engine inside each, bit-identical results).
+            ``REPRO_JOBS`` environment variable, then 1).  More than one
+            worker resolves to a :class:`ParallelExecutor` whose workers
+            run the serial engine, or the batch engine for ``"batch"``
+            (the batch × jobs hybrid, still bit-identical).
         lanes: lockstep lane cap for the ``"batch"`` case (per worker
             under the hybrid); ``None`` defers to
             :func:`default_batch_lanes` (the ``REPRO_BATCH_LANES``
-            environment variable, then uncapped).
+            environment variable, then uncapped).  Rejected for every
+            other executor.
         profile: a :class:`PhaseProfile` to accumulate per-phase timing
-            into.  Only the in-process backends can time the step loop:
-            resolving to the parallel executor or the batch×jobs hybrid
-            with a profile raises.
+            into.  Only in-process execution can time the step loop: a
+            profile with more than one worker raises.
 
     Raises:
-        ValueError: on an unknown executor name, or on ``profile`` with
-            a multi-process backend.
+        ValueError: on an unknown executor name, an inapplicable or
+            non-positive ``lanes``, a non-positive ``jobs``, or
+            ``profile`` with more than one worker.
     """
-    if executor is None:
-        if profile is None:
-            return make_executor(jobs)
-        executor = (
-            "parallel" if (jobs if jobs is not None else default_jobs()) > 1
-            else "serial"
-        )
-    if isinstance(executor, str):
-        if executor == "serial":
-            return SerialExecutor(profile=profile)
-        if executor == "parallel":
-            if profile is not None:
-                raise ValueError(
-                    "per-phase profiling times the step loop in-process; "
-                    "the parallel executor runs episodes in worker "
-                    "processes — use the serial or batch executor"
-                )
-            return ParallelExecutor(jobs=jobs if jobs is not None else default_jobs())
-        if executor == "batch":
-            batch_jobs = jobs if jobs is not None else default_jobs()
-            batch_lanes = lanes if lanes is not None else default_batch_lanes()
-            if batch_jobs > 1:
-                if profile is not None:
-                    raise ValueError(
-                        "--profile times the step loop in one process, but "
-                        "--jobs > 1 shards the batch executor across worker "
-                        "processes — drop --profile or run with --jobs 1"
-                    )
-                return BatchParallelExecutor(jobs=batch_jobs, lanes=batch_lanes)
-            return BatchExecutor(lanes=batch_lanes, profile=profile)
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of "
-            f"{', '.join(EXECUTOR_NAMES)}"
-        )
-    return executor
+    check_executor(executor, lanes)
+    if isinstance(executor, CampaignExecutor):
+        return executor
+    if executor == "serial":
+        return SerialExecutor(profile=profile)
+    if jobs is None:
+        jobs = default_jobs()
+    if executor == "batch":
+        if lanes is None:
+            lanes = default_batch_lanes()
+        inner: CampaignExecutor = BatchExecutor(lanes=lanes, profile=profile)
+    else:
+        inner = SerialExecutor(profile=profile)
+    if jobs == 1:
+        return inner
+    return ParallelExecutor(jobs, inner=inner)

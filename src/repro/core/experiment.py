@@ -237,7 +237,7 @@ def run_campaign(
             batch×jobs hybrid (still bit-identical).
         lanes: peak lockstep lane count for ``executor="batch"``; ``None``
             defers to the ``REPRO_BATCH_LANES`` environment variable
-            (then uncapped).  Ignored by the other executors.
+            (then uncapped).  Rejected for the other executors.
         resume_path: campaign JSONL file to resume into.  An existing file's
             valid prefix (truncated final lines tolerated) is loaded and its
             episodes skipped; only the remainder executes, with completed

@@ -25,7 +25,8 @@ outcomes); otherwise it runs ``max_steps`` (paper: 10,000 steps of ~10 ms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol, Tuple
+from time import perf_counter
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.adas.controlsd import AdasCommand, ControlsD
 from repro.adas.perception import PerceptionModel, PerceptionParams
@@ -78,6 +79,49 @@ class EpisodeTrace:
     driver_brake: List[bool] = field(default_factory=list)
     driver_steer: List[bool] = field(default_factory=list)
     attack_active: List[bool] = field(default_factory=list)
+
+
+@dataclass
+class PhaseProfile:
+    """Accumulated wall-clock per simulation pipeline phase.
+
+    The three phases partition one step of the platform loop: ``control``
+    (perception → arbitration → actuation), ``dynamics`` (the physics
+    integrate), and ``post`` (the post-step tail: metric accumulation,
+    hazard detection, episode retirement).  ``steps`` counts lane-steps,
+    so ``total_s / steps`` is the mean wall-clock per episode-step under
+    either executor.  Profiling only reads the clock around existing
+    calls — it never changes the call sequence, so profiled runs stay
+    bit-identical to unprofiled ones.
+    """
+
+    control_s: float = 0.0
+    dynamics_s: float = 0.0
+    post_s: float = 0.0
+    steps: int = 0
+
+    @property
+    def total_s(self) -> float:
+        """Wall-clock across all three phases [s]."""
+        return self.control_s + self.dynamics_s + self.post_s
+
+    def record(
+        self, t0: float, t1: float, t2: float, t3: float, steps: int = 1
+    ) -> None:
+        """Add one step's phase boundaries (clock reads) over ``steps`` lanes."""
+        self.control_s += t1 - t0
+        self.dynamics_s += t2 - t1
+        self.post_s += t3 - t2
+        self.steps += steps
+
+    def as_dict(self) -> Dict[str, float]:
+        """JSON-safe record (bench JSON / CLI reporting)."""
+        return {
+            "control_s": self.control_s,
+            "dynamics_s": self.dynamics_s,
+            "post_s": self.post_s,
+            "steps": self.steps,
+        }
 
 
 class SimulationPlatform:
@@ -172,13 +216,26 @@ class SimulationPlatform:
     # Episode execution
     # ------------------------------------------------------------------ #
 
-    def run(self) -> EpisodeResult:
-        """Execute the episode and return its measurements."""
+    def run(self, profile: Optional[PhaseProfile] = None) -> EpisodeResult:
+        """Execute the episode and return its measurements.
+
+        Args:
+            profile: accumulates per-phase wall-clock when given.  The
+                clock is read only then, and only between phases, so the
+                result is the same either way.
+        """
+        clock = perf_counter if profile is not None else float
         result = self._begin_episode()
         for step_index in range(self.max_steps):
+            t0 = clock()
             self._control_phase(step_index, result)
+            t1 = clock()
             self.world.step(self.dt)
-            if self._after_dynamics(step_index, result):
+            t2 = clock()
+            finished = self._after_dynamics(step_index, result)
+            if profile is not None:
+                profile.record(t0, t1, t2, perf_counter())
+            if finished:
                 break
         self._finish_episode(result)
         return result

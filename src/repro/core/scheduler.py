@@ -74,12 +74,11 @@ from repro.core.cache import (
     write_digest_sidecar,
 )
 from repro.core.executor import (
-    EXECUTOR_NAMES,
-    resolve_executor,
     CampaignExecutor,
     EpisodeTask,
     available_cores,
-    make_executor,
+    check_executor,
+    resolve_executor,
 )
 from repro.core.experiment import (
     CampaignResult,
@@ -322,15 +321,20 @@ def execute_shard(
             ``"batch"`` or a ready instance (overrides ``jobs``).
         lanes: peak lockstep lane count for ``executor="batch"``; ``None``
             defers to the ``REPRO_BATCH_LANES`` environment variable
-            (then uncapped).  Ignored by the other executors.
+            (then uncapped).  Rejected for the other executors.
         progress: optional ``(done, total)`` callback over this shard's
             episodes; under resume, ``done`` starts at the number of
             episodes already on disk.
         resume_path: shard JSONL file to resume into.  An existing file's
             valid prefix (truncated final lines tolerated) is loaded and
             its episodes skipped; only the remainder executes, streamed to
-            the file batch by batch, and a ``.digest`` sidecar refuses
-            files written under different inputs.
+            the file slice by slice, and a ``.digest`` sidecar refuses
+            files written under different inputs.  The executor sizes the
+            slices (:meth:`~repro.core.executor.CampaignExecutor.stream_slice`):
+            a few dispatch rounds for the serial and parallel executors,
+            whole locksteps for the batch executor — its lane cap (times
+            ``jobs`` under the hybrid), or the entire remainder when
+            uncapped — so resuming never narrows the lockstep width.
         cache: a :class:`CacheBackend` to consult/populate, ``None``/
             ``True`` for the ``REPRO_CACHE_DIR`` default, ``False`` to
             disable.  A hit returns the stored results without executing
@@ -340,6 +344,9 @@ def execute_shard(
         A :class:`CampaignResult` in the shard's enumeration order,
         bit-identical regardless of backend, resumption or caching.
     """
+    # Validate before the cache can answer, so an inapplicable ``lanes``
+    # is refused whether or not this shard would execute anything.
+    check_executor(executor, lanes)
     episodes = list(job.episodes)
     interventions = job.interventions
     ml_factory = job.ml_factory
@@ -420,13 +427,13 @@ def execute_shard(
         # of nothing.  The rewrite goes through a temp file + atomic rename
         # so a crash mid-rewrite cannot destroy the episodes already earned;
         # a crash mid-append only dangles a final line, which the next
-        # resume's prefix load already tolerates.  Batches are a few
-        # dispatch rounds wide so streaming costs little parallel efficiency.
+        # resume's prefix load already tolerates.  The executor sizes the
+        # batches (see ``stream_slice``).
         rewrite_tmp = f"{os.fspath(resume_path)}.tmp"
         save_results(prior, rewrite_tmp)
         os.replace(rewrite_tmp, resume_path)
         write_digest_sidecar(resume_path, resume_digest)
-        batch_size = max(8, 4 * getattr(backend, "jobs", 1))
+        batch_size = backend.stream_slice(len(tasks), backend.jobs)
         for start in range(0, len(tasks), batch_size):
             batch = tasks[start : start + batch_size]
             done_before = skipped + len(new)
@@ -676,12 +683,8 @@ class InProcessBackend(WorkerBackend):
         executor: Union[str, CampaignExecutor, None] = None,
         lanes: Optional[int] = None,
     ) -> None:
+        check_executor(executor, lanes)
         self.jobs = jobs if jobs is not None else workers
-        if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{', '.join(EXECUTOR_NAMES)}"
-            )
         self.executor = executor
         self.lanes = lanes
 
@@ -786,11 +789,7 @@ class SubprocessFleetBackend(WorkerBackend):
                 f"poll_interval must be positive (seconds between fleet "
                 f"liveness polls), got {poll_interval}"
             )
-        if executor is not None and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{', '.join(EXECUTOR_NAMES)}"
-            )
+        check_executor(executor, lanes)
         self.workers = workers
         self.jobs = jobs
         self.python = python
@@ -798,8 +797,6 @@ class SubprocessFleetBackend(WorkerBackend):
         self.max_retries = max_retries
         self.poll_interval = poll_interval
         self.executor = executor
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         self.lanes = lanes
 
     def default_shard_count(self) -> int:

@@ -8,6 +8,9 @@ exact nondeterminism the named-stream discipline of
 :mod:`repro.utils.rng` exists to rule out.  Seeding the global generator
 (``random.seed`` / ``numpy.random.seed``) is flagged too: it trades
 nondeterminism for spooky action between unrelated components.
+Constructing a *local* generator is fine when it is given a seed
+(``random.Random(0)``, ``numpy.random.default_rng(7)``); called with no
+argument, the same constructors seed from OS entropy and are flagged.
 
 Sanctioned alternative: derive a seed with
 :func:`repro.utils.rng.derive_seed` and draw from a local
@@ -22,10 +25,12 @@ from typing import List
 from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, LintRule, register_rule
 
-#: ``numpy.random`` attributes that do *not* touch the global generator:
-#: constructing explicitly-seeded generators and bit generators is the
-#: sanctioned replacement, not the hazard.
+#: Local-generator constructors (``random.Random`` and the ``numpy.random``
+#: generators and bit generators): they do *not* touch the global
+#: generator, so with a seed argument they are the sanctioned replacement,
+#: not the hazard.  Without one they seed from OS entropy.
 _SEEDED_CONSTRUCTORS = {
+    "Random",
     "default_rng",
     "Generator",
     "SeedSequence",
@@ -57,13 +62,19 @@ class UnseededRngRule(LintRule):
                 if not dotted.startswith(prefix):
                     continue
                 attr = dotted[len(prefix):]
-                if "." in attr or attr in _SEEDED_CONSTRUCTORS:
+                if "." in attr:
                     continue
+                if attr in _SEEDED_CONSTRUCTORS:
+                    if node.args or node.keywords:
+                        continue
+                    problem = "seeds from OS entropy (no seed argument)"
+                else:
+                    problem = "draws from the process-global RNG"
                 findings.append(
                     self.finding(
                         context,
                         node,
-                        f"{dotted}() draws from the process-global RNG; "
+                        f"{dotted}() {problem}; "
                         "derive a seed (repro.utils.rng.derive_seed) and "
                         "use a local numpy.random.default_rng(seed) / "
                         "RngStreams stream instead",

@@ -17,7 +17,6 @@ from repro.attacks.fi import FaultType
 from repro.core.executor import (
     EXECUTOR_NAMES,
     BatchExecutor,
-    BatchParallelExecutor,
     EpisodeTask,
     ParallelExecutor,
     SerialExecutor,
@@ -252,9 +251,10 @@ class TestResolveExecutor:
 
     def test_batch_with_jobs_routes_to_hybrid(self):
         backend = resolve_executor("batch", jobs=3, lanes=8)
-        assert isinstance(backend, BatchParallelExecutor)
+        assert isinstance(backend, ParallelExecutor)
+        assert isinstance(backend.inner, BatchExecutor)
         assert backend.jobs == 3
-        assert backend.lanes == 8
+        assert backend.inner.lanes == 8
 
     def test_batch_with_one_job_stays_single_process(self):
         assert isinstance(resolve_executor("batch", jobs=1), BatchExecutor)
@@ -264,7 +264,25 @@ class TestResolveExecutor:
         # The historical footgun: REPRO_JOBS silently ignored by
         # --executor batch.  It must route to the hybrid now.
         monkeypatch.setenv("REPRO_JOBS", "2")
-        assert isinstance(resolve_executor("batch"), BatchParallelExecutor)
+        backend = resolve_executor("batch")
+        assert isinstance(backend, ParallelExecutor)
+        assert isinstance(backend.inner, BatchExecutor)
+
+    def test_lanes_refused_without_batch_executor(self):
+        from repro.core.cache import MemoryCacheBackend
+
+        spec = _family_spec("S1", FaultType.NONE, seed=3, repetitions=1)
+        cache = MemoryCacheBackend()
+        run_campaign(
+            spec, FULL_CFG, executor="batch", lanes=2, cache=cache, max_steps=20
+        )
+        # Refused even when the cache would answer without executing.
+        for executor in (None, "serial", "parallel", BatchExecutor()):
+            with pytest.raises(ValueError, match="--lanes"):
+                run_campaign(
+                    spec, FULL_CFG, executor=executor, lanes=2, cache=cache,
+                    max_steps=20,
+                )
 
     def test_profile_with_batch_jobs_refused_naming_both_flags(self):
         from repro.core.executor import PhaseProfile
@@ -437,7 +455,16 @@ class TestBatchMlLaneEquivalence:
         assert batch == serial
 
 
+def _hybrid(jobs, lanes=None, chunk_size=None):
+    """The batch × jobs hybrid: a process pool running the batch engine."""
+    return ParallelExecutor(
+        jobs, chunk_size=chunk_size, inner=BatchExecutor(lanes=lanes)
+    )
+
+
 class TestBatchParallelExecutor:
+    """The batch × jobs hybrid: ``ParallelExecutor`` with a batch inner."""
+
     def _spec(self, seed=99):
         return CampaignSpec(
             scenario_ids=("S1", "S4"),
@@ -477,7 +504,7 @@ class TestBatchParallelExecutor:
             hybrid = run_campaign(
                 self._spec(7),
                 FULL_CFG,
-                executor=BatchParallelExecutor(jobs=2, chunk_size=chunk_size),
+                executor=_hybrid(2, chunk_size=chunk_size),
                 cache=False,
                 max_steps=300,
             )
@@ -491,7 +518,7 @@ class TestBatchParallelExecutor:
         hybrid = run_campaign(
             self._spec(3),
             FULL_CFG,
-            executor=BatchParallelExecutor(jobs=1),
+            executor=_hybrid(1),
             cache=False,
             max_steps=200,
         )
@@ -507,7 +534,7 @@ class TestBatchParallelExecutor:
                 spec,
                 ML_CFG,
                 ml_factory=lambda: MitigationController(baseline),  # repro-lint: disable=unpicklable-submission
-                executor=BatchParallelExecutor(jobs=2),
+                executor=_hybrid(2),
                 cache=False,
                 max_steps=200,
             )
@@ -526,7 +553,7 @@ class TestBatchParallelExecutor:
         run_campaign(
             self._spec(5),
             FULL_CFG,
-            executor=BatchParallelExecutor(jobs=2),
+            executor=_hybrid(2),
             cache=False,
             max_steps=150,
             progress=lambda done, total: seen.append((done, total)),
@@ -537,8 +564,20 @@ class TestBatchParallelExecutor:
 
     def test_construction_validation(self):
         with pytest.raises(ValueError, match="jobs"):
-            BatchParallelExecutor(jobs=0)
+            _hybrid(0)
         with pytest.raises(ValueError, match="lanes"):
-            BatchParallelExecutor(jobs=2, lanes=0)
+            _hybrid(2, lanes=0)
         with pytest.raises(ValueError, match="chunk_size"):
-            BatchParallelExecutor(jobs=2, chunk_size=0)
+            _hybrid(2, chunk_size=0)
+
+    def test_default_chunk_sizes(self):
+        # Scalar workers: ~4 chunks per worker, capped at 16 tasks.
+        scalar = SerialExecutor()
+        assert scalar.pool_chunk(100, 2) == 12
+        assert scalar.pool_chunk(1000, 2) == 16
+        assert scalar.pool_chunk(3, 2) == 1
+        # Batch workers: one wide chunk per worker (ceil).
+        batch = BatchExecutor(lanes=4)
+        assert batch.pool_chunk(7, 2) == 4
+        assert batch.pool_chunk(8, 2) == 4
+        assert batch.pool_chunk(1000, 3) == 334

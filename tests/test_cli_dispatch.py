@@ -70,6 +70,42 @@ class TestBatchLanesFlag:
         assert main(["campaign", *GRID]) == 2
         assert "REPRO_BATCH_LANES" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["campaign", "dispatch"])
+    @pytest.mark.parametrize(
+        "executor", [[], ["--executor", "serial"], ["--executor", "parallel"]]
+    )
+    def test_lanes_without_batch_executor_exits_2(
+        self, tmp_path, capsys, command, executor
+    ):
+        output = tmp_path / "never.jsonl"
+        rc = main([command, *GRID, *executor, "--lanes", "2", "-o", str(output)])
+        assert rc == 2
+        assert "--lanes" in capsys.readouterr().err
+        assert not output.exists()  # rejected before any episode ran
+
+    def test_repro_batch_lanes_is_only_a_batch_default(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The env var is a default, not an explicit --lanes: inapplicable
+        # executors simply never read it.
+        monkeypatch.setenv("REPRO_BATCH_LANES", "2")
+        serial = tmp_path / "serial.jsonl"
+        assert main(["campaign", *GRID, "-o", str(serial)]) == 0
+        capsys.readouterr()
+
+    def test_backends_reject_lanes_without_batch_executor(self):
+        from repro.core.scheduler import InProcessBackend
+
+        for backend in (InProcessBackend, SubprocessFleetBackend):
+            with pytest.raises(ValueError, match="--lanes"):
+                backend(executor="serial", lanes=2)
+            with pytest.raises(ValueError, match="--lanes"):
+                backend(lanes=2)
+            with pytest.raises(ValueError, match="lanes must be >= 1"):
+                backend(executor="batch", lanes=0)
+            with pytest.raises(ValueError, match="serial, parallel, batch"):
+                backend(executor="warp")
+
     def test_worker_command_forwards_lanes(self):
         backend = SubprocessFleetBackend(workers=1, executor="batch", lanes=3)
         command = backend.worker_command("spec.json")

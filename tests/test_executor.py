@@ -19,7 +19,7 @@ from repro.core.executor import (
     ProgressTracker,
     SerialExecutor,
     default_jobs,
-    make_executor,
+    resolve_executor,
 )
 from repro.core.experiment import CampaignResult, run_campaign
 from repro.core.hazards import AccidentType
@@ -183,15 +183,15 @@ class TestExecutorConstruction:
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
         with pytest.raises(ValueError):
-            make_executor(jobs=-1)
+            resolve_executor(None, jobs=-1)
 
     def test_rejects_nonpositive_chunk_size(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=2, chunk_size=0)
 
-    def test_make_executor_backend_selection(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(3), ParallelExecutor)
+    def test_default_executor_backend_selection(self):
+        assert isinstance(resolve_executor(None, 1), SerialExecutor)
+        assert isinstance(resolve_executor(None, 3), ParallelExecutor)
 
     def test_default_jobs_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

@@ -153,7 +153,7 @@ class TestIncrementalRun:
         def boom(*args, **kwargs):
             raise AssertionError("incremental render executed episodes")
 
-        monkeypatch.setattr(scheduler, "make_executor", boom)
+        monkeypatch.setattr(scheduler, "resolve_executor", boom)
         outcome = engine.run(incremental=True)
         assert set(outcome.rendered_ids) == {"table4", "table5", "fig5", "fig6"}
         assert set(outcome.pending_ids) == {"table6", "table7", "table8"}
@@ -195,7 +195,7 @@ class TestIncrementalRun:
         def boom(*args, **kwargs):
             raise AssertionError("incremental render executed episodes")
 
-        monkeypatch.setattr(scheduler, "make_executor", boom)
+        monkeypatch.setattr(scheduler, "resolve_executor", boom)
         with pytest.warns(RuntimeWarning, match="corrupt cache entry"):
             outcome = engine.run(incremental=True)
         assert "table4" in outcome.pending_ids

@@ -73,6 +73,30 @@ class TestUnseededRng:
         )
         assert findings == []
 
+    def test_seeded_local_random_allowed(self):
+        findings = run_rule(
+            "unseeded-rng",
+            """\
+            import random
+            rng = random.Random(0)
+            other = random.Random(x=1)
+            """,
+        )
+        assert findings == []
+
+    def test_detects_entropy_seeded_constructors(self):
+        findings = run_rule(
+            "unseeded-rng",
+            """\
+            import random
+            import numpy as np
+            rng = random.Random()
+            gen = np.random.default_rng()
+            """,
+        )
+        assert [f.line for f in findings] == [3, 4]
+        assert "random.Random() seeds from OS entropy" in findings[0].message
+
     def test_pragma_suppresses(self):
         findings = run_rule(
             "unseeded-rng",

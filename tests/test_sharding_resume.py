@@ -388,3 +388,58 @@ class TestResume:
         )
         assert resumed.results == reference.results[: len(episodes)]
         assert backend.executed == len(episodes) - 1
+
+
+class TestResumeSlicing:
+    """Resumed runs stream to disk in slices the executor chooses."""
+
+    #: 12 episodes: more than the 8-task scalar slice.
+    WIDE_SPEC = CampaignSpec(
+        fault_types=[FaultType.NONE],
+        scenario_ids=("S1", "S2", "S3", "S4", "S5", "S6"),
+        initial_gaps=(60.0,),
+        repetitions=2,
+        seed=11,
+    )
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    def test_resume_keeps_batch_lockstep_width(self, tmp_path, monkeypatch, lanes):
+        from repro.sim.batch_control import BatchControlStack
+
+        widths = []
+        original = BatchControlStack.__init__
+
+        def counting(stack, platforms, dynamics):
+            widths.append(len(platforms))
+            original(stack, platforms, dynamics)
+
+        monkeypatch.setattr(BatchControlStack, "__init__", counting)
+
+        def run(**kwargs):
+            widths.clear()
+            result = run_campaign(
+                self.WIDE_SPEC, CFG, executor="batch", lanes=lanes, cache=False,
+                max_steps=50, **kwargs,
+            )
+            return result, list(widths)
+
+        plain, plain_widths = run()
+        path = tmp_path / "resumed.jsonl"
+        resumed, resumed_widths = run(resume_path=path)
+        assert plain_widths == ([12] if lanes is None else [5, 5, 2])
+        assert resumed_widths == plain_widths
+        reference = tmp_path / "plain.jsonl"
+        plain.save(str(reference))
+        assert path.read_bytes() == reference.read_bytes()
+        assert resumed.results == plain.results
+
+    def test_slice_sizes(self):
+        from repro.core.executor import BatchExecutor, ParallelExecutor
+
+        assert SerialExecutor().stream_slice(100, 1) == 8
+        assert ParallelExecutor(3).stream_slice(100, 3) == 12
+        assert BatchExecutor().stream_slice(100, 1) == 100
+        assert BatchExecutor().stream_slice(0, 1) == 1
+        assert BatchExecutor(lanes=5).stream_slice(100, 1) == 5
+        hybrid = ParallelExecutor(2, inner=BatchExecutor(lanes=3))
+        assert hybrid.stream_slice(100, 2) == 6
